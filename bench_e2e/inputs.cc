@@ -374,7 +374,7 @@ WorkloadInput MakePaperMix(uint64_t seed) {
       "about half the closed-loop events_per_s measured when the benchmark "
       "was defined (~28k/s on a 4-vCPU VM), so the service idles half the "
       "time and latency reflects per-event work, not a backlog";
-  w.recovery_tail = 10000;
+  w.recovery_tail = 20000;
   return w;
 }
 

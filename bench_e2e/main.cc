@@ -3,7 +3,7 @@
 //
 //   cep_e2e_bench --workload <paper_mix|keyed_sharded|delta_durable>
 //                 --seed <n> --seconds <s> --trace <0|1>
-//                 --work-dir <dir> [--corrupt-match]
+//                 --work-dir <dir> [--spans <file>] [--corrupt-match]
 //
 // --trace 0 measures the end-to-end metrics: a closed-loop phase
 // (repeated set-up + replay of the fixed input as fast as the service
@@ -520,7 +520,7 @@ Cut ProbeCut(const WorkloadInput& w, const std::string& dir,
              Tracer* tracer = nullptr,
              std::vector<double>* snapshot_bytes = nullptr) {
   const size_t end = w.live_events;
-  const size_t warm = w.recovery_tail;
+  const size_t warm = std::min(w.recovery_tail, end - w.recovery_tail);
   Cut cut;
   cut.begin = end - w.recovery_tail - warm;
   cut.dir = dir;

@@ -3,10 +3,10 @@
 
     python3 bench_e2e/run.py --workload paper_mix --seed 1 --seconds 10 --trace 0
 
-The C++ driver (bench_e2e/*.cc) is compiled from this checkout's sources
+The C++ benchmark program (bench_e2e/*.cc) is compiled from this checkout's sources
 in Release into $CARGO_TARGET_DIR/bench_e2e (default .bench_build), then
 run once. Its standard output is passed through; the last line is the
-JSON result. The exit code is the driver's: 0 when every match verified,
+JSON result. The exit code is the program's: 0 when every match verified,
 1 on a correctness failure, 2 when the benchmark cannot build or run.
 """
 
@@ -20,8 +20,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("paper_mix", "keyed_sharded", "delta_durable")
-# The driver must end within 180 s of a run's start; the build before the
-# first run has its own, longer allowance.
+# A run is stopped after this long; the build before it is not counted.
 RUN_TIMEOUT_S = 170
 
 
@@ -89,7 +88,7 @@ def main():
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if result.returncode < 0:
-        fail(f"driver killed by signal {-result.returncode}")
+        fail(f"benchmark program killed by signal {-result.returncode}")
     sys.exit(result.returncode)
 
 
