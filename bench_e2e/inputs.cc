@@ -290,11 +290,6 @@ QuerySpec KeyedQuery(OperatorKind op, const std::string& types, CmpOp cmp,
                 algorithm);
 }
 
-size_t CountRows(const std::string& csv) {
-  size_t rows = static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  return rows > 0 ? rows - 1 : 0;  // minus the header
-}
-
 }  // namespace
 
 WorkloadInput MakePaperMix(uint64_t seed) {
@@ -391,7 +386,7 @@ WorkloadInput MakeKeyedSharded(uint64_t seed) {
   w.registry = KeyedRegistry();
   AppendKeyedHistory(config, SubSeed(seed, 1), kHistoryRows, &w.history);
   w.csv = RenderKeyedCsv(config, SubSeed(seed, 2), kLiveRows);
-  w.live_events = CountRows(w.csv);
+  w.live_events = kLiveRows;
   w.queries = {
       KeyedQuery(OperatorKind::kSeq, "ABC", CmpOp::kLt, 0.05, "GREEDY"),
       KeyedQuery(OperatorKind::kSeq, "BCD", CmpOp::kGt, 0.05, "DP-LD"),
@@ -423,7 +418,7 @@ WorkloadInput MakeDeltaDurable(uint64_t seed) {
   w.registry = KeyedRegistry();
   AppendKeyedHistory(config, SubSeed(seed, 1), kHistoryRows, &w.history);
   w.csv = RenderKeyedCsv(config, SubSeed(seed, 2), kLiveRows);
-  w.live_events = CountRows(w.csv);
+  w.live_events = kLiveRows;
   w.queries = {
       KeyedQuery(OperatorKind::kSeq, "ABC", CmpOp::kLt, 0.2, "GREEDY", true),
       KeyedQuery(OperatorKind::kAnd, "BCD", CmpOp::kGt, 0.1, "DP-LD", true),
