@@ -58,9 +58,9 @@ std::vector<StockSymbol> FixedSymbolTable() {
 /// workload/stock_generator.h. Each symbol updates on a grid at its
 /// rate with a seed-drawn phase and jitter of up to a quarter period,
 /// rather than as a Poisson process: window contents then hold a steady
-/// number of events per symbol, so a match count, a pattern's cost,
-/// varies little from seed to seed while values and interleavings still
-/// change with it.
+/// number of events per symbol, so match counts, and with them a
+/// pattern's cost, vary less from seed to seed than with Poisson
+/// arrivals, while values and interleavings still change with the seed.
 void AppendStockStream(const std::vector<TypeId>& types,
                        std::vector<StockSymbol> symbols, uint64_t seed,
                        double duration, EventStream* out) {
