@@ -54,9 +54,10 @@ void PartitionedRuntime::ProcessStream(const EventStream& stream) {
 void PartitionedRuntime::Finish() {
   if (finished_) return;
   finished_ = true;
-  // Ascending partition order, matching the sharded drain: Finish-time
-  // matches (trailing negation) reach the sink in the same canonical
-  // order regardless of hash-map iteration order or thread count.
+  // Ascending partition order, after every OnEvent-time match: the
+  // sharded runtime keys its end-of-stream flushes after every serial
+  // and breaks their ties by partition, so Finish-time matches (trailing
+  // negation) reach the sink in this same order at any thread count.
   for (uint32_t partition : Partitions()) {
     PartitionState& state = engines_.at(partition);
     state.engine->Finish();

@@ -495,8 +495,8 @@ void CepService::Finish() {
     state.active = false;
   }
   inline_feeds_.clear();
-  // Joins the workers and drains every sharded query's buffered matches
-  // (including mid-stream deregistered ones) to its sink.
+  // Joins the workers and delivers every sharded query's remaining
+  // matches (including mid-stream deregistered ones) to its sink.
   if (sharded_ != nullptr) sharded_->Finish();
 }
 

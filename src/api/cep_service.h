@@ -89,8 +89,9 @@ class QueryHandle {
   /// Stops feeding the query. Unkeyed and single-threaded keyed
   /// queries are finished immediately (trailing matches flush to the
   /// query's sink inline); sharded keyed queries are cut at the current
-  /// routing position, finish as the workers pass the cut, and deliver
-  /// their buffered matches at the service's Finish().
+  /// routing position, finish as every worker passes the cut, and their
+  /// matches reach the sink as the shards' watermark passes them (at the
+  /// latest at the service's Finish()).
   Status Deregister();
 
   /// The query's counters. Unkeyed / single-threaded keyed: valid any
@@ -218,7 +219,7 @@ class CepService {
   // ---- durability: checkpoint and restore ---------------------------
 
   /// Serializes the full engine state — every active query's windows,
-  /// partial-match instances, counters, buffered sharded matches, and
+  /// partial-match instances, counters, held sharded matches, and
   /// the attached sources' merge/read positions — into `out` as one
   /// deterministic payload (durable/snapshot_codec.h framing). The cut
   /// is consistent: everything ingested before the call is inside,
@@ -254,7 +255,7 @@ class CepService {
   StatusOr<RestoreReport> RestoreFrom(const std::string& dir);
 
   /// Ends the session: finishes every active query, joins the sharded
-  /// workers, and drains each query's buffered matches to its sink.
+  /// workers, and delivers each query's remaining matches to its sink.
   /// Idempotent. No ingest or registration is accepted afterwards.
   void Finish();
 

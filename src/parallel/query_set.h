@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/types.h"
+
 namespace cepjoin {
 
 class PartitionPlanner;
@@ -29,13 +31,19 @@ struct ShardQuery {
 /// query registered mid-stream sees precisely the events routed after
 /// its snapshot was published, and a deregistered query's engines are
 /// finished the moment a worker pops the first batch from a later epoch
-/// — FIFO queues make the cut deterministic at any thread count.
+/// — FIFO queues make the cut deterministic at any thread count. A
+/// removal pushes an event-less batch carrying the new snapshot to every
+/// shard, so shards without traffic finish the query promptly too.
 ///
 /// Snapshots are never mutated after publication; workers compare
 /// shared_ptr identity to detect epoch changes.
 struct QuerySetSnapshot {
   uint64_t epoch = 0;
   std::vector<ShardQuery> queries;
+  /// The last serial routed before publication: the order key of the
+  /// Finish-time matches of the queries this snapshot removes
+  /// (parallel/concurrent_sink.h).
+  EventSerial cut_serial = 0;
 };
 
 }  // namespace cepjoin

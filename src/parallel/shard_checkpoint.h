@@ -18,12 +18,13 @@ struct PartitionSnapshot {
 };
 
 /// Everything a ShardedRuntime needs to resume mid-stream: every live
-/// engine's state plus each worker's buffered-but-undrained sink
-/// entries. Sink blobs are kept per capture-time shard (their internal
-/// entries carry emit serials and partitions); restore redistributes the
-/// entries by the new shard map, and the canonical (emit_serial,
-/// partition) drain order makes the result independent of either thread
-/// count.
+/// engine's state plus each worker's held, undelivered sink entries —
+/// none when serials increase, since capture first delivers everything
+/// the quiesced shards' watermark has passed. Sink blobs are kept per
+/// capture-time shard (their internal entries carry emit serials and
+/// partitions); restore redistributes the entries by the new shard map,
+/// and the canonical (emit_serial, partition) delivery order makes the
+/// result independent of either thread count.
 struct ShardedCheckpoint {
   std::vector<PartitionSnapshot> partitions;
   std::vector<std::string> sink_blobs;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "durable/snapshot_codec.h"
 
 namespace cepjoin {
 
@@ -120,6 +121,10 @@ Status ShardedRuntime::RemoveQuery(uint64_t query) {
   }
   it->second.active = false;
   PublishSnapshot();
+  // Every shard must pass the cut, including shards with no traffic
+  // after it: otherwise their flush of this query would wait for their
+  // next data batch while the watermark moves on without it.
+  router_.PushSnapshotToAll();
   return Status::Ok();
 }
 
@@ -130,6 +135,7 @@ void ShardedRuntime::PublishSnapshot() {
   router_.FlushAll();
   auto snapshot = std::make_shared<QuerySetSnapshot>();
   snapshot->epoch = ++epoch_;
+  snapshot->cut_serial = router_.last_serial();
   for (const auto& [id, entry] : queries_) {
     if (!entry.active) continue;
     ShardQuery q;
@@ -173,12 +179,20 @@ Status ShardedRuntime::CaptureCheckpoint(ShardedCheckpoint* out) {
   out->sink_blobs.reserve(workers_.size());
   Status capture = Status::Ok();
   for (size_t shard = 0; shard < workers_.size(); ++shard) {
-    std::string sink_blob;
     CEPJOIN_RETURN_IF_ERROR(RunOnWorker(shard, [&](ShardWorker* worker) {
-      Status s = worker->CaptureState(&out->partitions, &sink_blob);
+      Status s = worker->CaptureState(&out->partitions);
       if (capture.ok() && !s.ok()) capture = s;
     }));
-    out->sink_blobs.push_back(std::move(sink_blob));
+  }
+  // Every shard has now evaluated every routed batch. Deliver all that
+  // is releasable BEFORE serializing the outboxes, so "delivered before
+  // this call returned" plus "in the snapshot" is exactly the prefix an
+  // uninterrupted run delivers, however the watermark moved before.
+  DeliverReleasable(/*force=*/true);
+  for (size_t shard = 0; shard < workers_.size(); ++shard) {
+    EngineStateWriter w;
+    concurrent_sink_.shard(shard)->SaveEntries(&w);
+    out->sink_blobs.push_back(w.Finish());
   }
   return capture;
 }
@@ -220,16 +234,42 @@ Status ShardedRuntime::RestoreCheckpoint(
 void ShardedRuntime::OnEvent(const EventPtr& e) {
   CEPJOIN_CHECK(!finished_) << "OnEvent after Finish";
   router_.Route(e);
+  DeliverReleasable(/*force=*/false);
 }
 
 void ShardedRuntime::OnBatch(const EventPtr* events, size_t n) {
   CEPJOIN_CHECK(!finished_) << "OnBatch after Finish";
   for (size_t i = 0; i < n; ++i) router_.Route(events[i]);
+  DeliverReleasable(/*force=*/false);
 }
 
 void ShardedRuntime::OnPartitionRun(const EventPtr* events, size_t n) {
   CEPJOIN_CHECK(!finished_) << "OnPartitionRun after Finish";
   router_.RouteRun(events, n);
+  DeliverReleasable(/*force=*/false);
+}
+
+void ShardedRuntime::DeliverReleasable(bool force) {
+  // Without strictly increasing serials there is no watermark: matches
+  // wait for Finish().
+  if (!router_.serials_increasing()) return;
+  bool progressed = false;
+  for (size_t shard = 0; shard < workers_.size(); ++shard) {
+    progressed |= router_.AcknowledgeBatches(
+        shard, concurrent_sink_.shard(shard)->batches_published());
+  }
+  // Entries are published only with a completed batch, and only a
+  // completed batch moves the watermark: with no progress there is
+  // nothing new to release.
+  if (!progressed && !force) return;
+  concurrent_sink_.DeliverBelow(router_.LowWatermark(), SinkLookup());
+}
+
+std::function<MatchSink*(uint64_t)> ShardedRuntime::SinkLookup() {
+  return [this](uint64_t query) -> MatchSink* {
+    auto it = queries_.find(query);
+    return it != queries_.end() ? it->second.sink : nullptr;
+  };
 }
 
 void ShardedRuntime::ProcessStream(const EventStream& stream) {
@@ -241,10 +281,9 @@ void ShardedRuntime::Finish() {
   finished_ = true;
   router_.CloseAll();
   for (auto& worker : workers_) worker->Join();
-  concurrent_sink_.DrainPerQuery([this](uint64_t query) -> MatchSink* {
-    auto it = queries_.find(query);
-    return it != queries_.end() ? it->second.sink : nullptr;
-  });
+  // The remainder sorts after everything already delivered, so this
+  // completes the canonical sequence.
+  concurrent_sink_.DrainPerQuery(SinkLookup());
 }
 
 StatusOr<size_t> ShardedRuntime::NumPartitionsOf(uint64_t query) const {

@@ -50,9 +50,10 @@ struct ShardedOptions {
 /// embarrassingly parallel, so events are hash-routed by partition key
 /// to N shard workers, each owning, per query, its partitions'
 /// per-partition plans and engines. Workers are fed through bounded
-/// batch queues; matches funnel into a ConcurrentMatchSink whose drain
-/// step replays them into each query's sink in a canonical,
-/// thread-count-independent order.
+/// batch queues; matches funnel into a ConcurrentMatchSink, which
+/// replays them into each query's sink in a canonical,
+/// thread-count-independent order as the shards' low watermark passes
+/// them.
 ///
 /// Guarantees, for any keyed stream, any thread count, and any set of
 /// registered queries:
@@ -66,13 +67,20 @@ struct ShardedOptions {
 ///    PartitionedRuntime::TotalCounters() on its sub-stream.
 ///
 /// Threading model: the caller's thread ingests (OnEvent/ProcessStream),
-/// routes, and registers/removes queries; workers evaluate; Finish()
-/// closes the queues, joins the workers, and drains matches into the
-/// per-query sinks on the caller's thread — so downstream MatchSinks
-/// need no synchronization. All cross-thread hand-off funnels through
-/// the annotated BoundedQueue (parallel/bounded_queue.h) and the
-/// lock-free metric instruments; the runtime itself holds no mutex and
-/// its members are confined to the ingest thread.
+/// routes, and registers/removes queries; workers evaluate. Each
+/// OnEvent/OnBatch/OnPartitionRun call ends by delivering, on the
+/// caller's thread, every match the low watermark has passed: the
+/// first serial some shard has not yet evaluated, from the batches the
+/// router pushed and the batches each worker reports complete. Finish()
+/// closes the queues, joins the workers, and delivers the rest (end-of-
+/// stream flushes included) — so downstream MatchSinks see one thread
+/// and need no synchronization. A stream whose serials do not strictly
+/// increase has no watermark; its matches wait for Finish(). All
+/// cross-thread hand-off funnels through the annotated BoundedQueue
+/// (parallel/bounded_queue.h), the shard sinks' annotated outboxes
+/// (parallel/concurrent_sink.h) and the lock-free metric instruments;
+/// the runtime itself holds no mutex and its members are confined to
+/// the ingest thread.
 class ShardedRuntime {
  public:
   /// Multi-query runtime with no queries yet; use AddQuery().
@@ -94,7 +102,9 @@ class ShardedRuntime {
   /// Registers a query: later-routed events feed it, earlier ones do
   /// not (the cut is exact — pending router batches are flushed first).
   /// Returns the query's id within this runtime. The planner must be
-  /// non-null; `sink` receives the query's matches at Finish().
+  /// non-null; `sink` receives the query's matches on the caller's
+  /// thread, from the feeding calls once the watermark passes them and
+  /// from Finish().
   StatusOr<uint64_t> AddQuery(std::unique_ptr<PartitionPlanner> planner,
                               MatchSink* sink);
 
@@ -107,11 +117,13 @@ class ShardedRuntime {
   StatusOr<uint64_t> AddQuery(std::unique_ptr<PartitionPlanner> planner,
                               MatchSink* sink, QueryMetrics* metrics);
 
-  /// Deregisters a query: events routed after this call do not feed it,
-  /// its engines are finished (flushing trailing-negation matches) as
-  /// the workers pass the cut, and its buffered matches are delivered
-  /// to its sink at Finish(). Counters/partition accessors for the
-  /// query become valid after Finish().
+  /// Deregisters a query: events routed after this call do not feed it.
+  /// Every shard is sent the cut at once, finishes the query's engines
+  /// (flushing trailing-negation matches, keyed at the cut) and the
+  /// matches reach the query's sink as the watermark passes the cut —
+  /// from a later feeding call or, at the latest, Finish().
+  /// Counters/partition accessors for the query become valid after
+  /// Finish().
   Status RemoveQuery(uint64_t query);
 
   /// Routes one event. Events must arrive in timestamp order, exactly as
@@ -128,8 +140,9 @@ class ShardedRuntime {
   void ProcessStream(const EventStream& stream);
 
   /// Flushes pending batches, signals end-of-stream, joins all workers,
-  /// and drains matches into each query's sink in canonical order.
-  /// Idempotent.
+  /// and delivers every match not yet delivered — the end-of-stream
+  /// flushes and whatever the watermark had not passed — into each
+  /// query's sink in canonical order. Idempotent.
   void Finish();
 
   size_t num_threads() const { return workers_.size(); }
@@ -163,12 +176,15 @@ class ShardedRuntime {
   }
 
   /// Checkpoint capture: flushes pending batches, then walks the shards
-  /// one at a time, each serializing its live engines and buffered sink
-  /// entries on its own worker thread (control batch; the caller blocks
-  /// until the shard reports done). The result is a consistent cut: all
-  /// events routed before this call are fully evaluated and inside the
-  /// snapshot, none routed after are. The runtime stays usable — this is
-  /// the online path CheckpointCoordinator drives between batches.
+  /// one at a time, each serializing its live engines on its own worker
+  /// thread (control batch; the caller blocks until the shard reports
+  /// done). With every shard quiesced it delivers every releasable match
+  /// and only then serializes the held sink entries (normally none when
+  /// serials increase). The result is a consistent cut: all events routed before
+  /// this call are fully evaluated, and each of their matches is either
+  /// delivered before this call returns or inside the snapshot; none
+  /// routed after are. The runtime stays usable — this is the online
+  /// path CheckpointCoordinator drives between batches.
   Status CaptureCheckpoint(ShardedCheckpoint* out);
 
   /// Checkpoint restore into a freshly constructed runtime with the same
@@ -196,8 +212,13 @@ class ShardedRuntime {
   };
 
   /// Flushes pending batches under the old snapshot, then publishes the
-  /// current active set as a new epoch.
+  /// current active set as a new epoch, cut at the last routed serial.
   void PublishSnapshot();
+  /// Acknowledges the batches the workers have completed and, if that
+  /// moved anything (or `force`), delivers every match below the low
+  /// watermark. No-op while serials do not strictly increase.
+  void DeliverReleasable(bool force);
+  std::function<MatchSink*(uint64_t)> SinkLookup();
   uint64_t SoleQueryId() const;
   /// Runs `fn` on shard `shard`'s worker thread via a control batch and
   /// blocks until it completes. FIFO queue order guarantees every batch

@@ -136,13 +136,15 @@ void ShardWorker::Run() {
       batch.control.reset();
       continue;
     }
-    if (metrics_ != nullptr) {
+    if (metrics_ != nullptr && !batch.empty()) {
       metrics_->events_total->Inc(batch.events.size());
       metrics_->batches_total->Inc();
       metrics_->queue_depth->Set(static_cast<double>(queue_->size()));
     }
     if (batch.queries != nullptr && batch.queries != active_) {
+      sink_->BeginFlush(batch.queries->cut_serial);
       FinishQueriesRemovedBy(*batch.queries);
+      sink_->EndFlush();
       active_ = batch.queries;
     }
     // Every match recorded while this batch evaluates is anchored to
@@ -183,6 +185,9 @@ void ShardWorker::Run() {
     }
     batch.events.clear();
     batch.queries.reset();
+    // Hand this batch's matches to the delivering thread, then count the
+    // batch: the count is what advances the low watermark past it.
+    sink_->PublishBatch();
   }
   // End of stream: finish the remaining queries in ascending id order so
   // Finish-time matches of this shard are recorded deterministically.
@@ -191,11 +196,12 @@ void ShardWorker::Run() {
     if (!state.finished) remaining.push_back(id);
   }
   std::sort(remaining.begin(), remaining.end());
+  sink_->BeginFlush(ConcurrentMatchSink::kEndOfStream);
   for (uint64_t id : remaining) FinishQuery(id, queries_.at(id));
+  sink_->EndFlush();
 }
 
-Status ShardWorker::CaptureState(std::vector<PartitionSnapshot>* partitions,
-                                 std::string* sink_entries) {
+Status ShardWorker::CaptureState(std::vector<PartitionSnapshot>* partitions) {
   std::vector<uint64_t> ids;
   for (const auto& [id, state] : queries_) {
     if (!state.finished) ids.push_back(id);
@@ -220,9 +226,6 @@ Status ShardWorker::CaptureState(std::vector<PartitionSnapshot>* partitions,
       partitions->push_back(std::move(snap));
     }
   }
-  EngineStateWriter sw;
-  sink_->SaveEntries(&sw);
-  *sink_entries = sw.Finish();
   return Status::Ok();
 }
 
@@ -275,6 +278,7 @@ Status ShardWorker::RestoreState(
     CEPJOIN_RETURN_IF_ERROR(
         sink_->LoadEntries(&reader, shard, shard_of, query_remap));
   }
+  sink_->Publish();
   return Status::Ok();
 }
 

@@ -41,14 +41,20 @@ namespace cepjoin {
 /// partition gets the same plan here as it would in the single-threaded
 /// PartitionedRuntime.
 ///
+/// After each batch (event-less epoch markers included) the worker
+/// publishes the batch's matches to its ShardSink's outbox and counts
+/// the batch there; the runtime turns those counts into the low
+/// watermark that releases matches to the query sinks.
+///
 /// Thread-safety: the ONLY synchronized state a worker touches is its
 /// BoundedQueue (whose lock protocol carries thread-safety annotations;
-/// see parallel/bounded_queue.h) and the striped-atomic metric
-/// instruments. Everything else — queries_, the engines, the ShardSink —
-/// is confined to the worker thread between Start() and Join();
-/// CountersOf()/NumPartitionsOf()/PlanFor() are caller-thread reads made
-/// safe by the Join() happens-before edge, hence "valid only after
-/// Join()".
+/// see parallel/bounded_queue.h), its ShardSink's outbox (annotated
+/// mutex, parallel/concurrent_sink.h) and the striped-atomic metric
+/// instruments. Everything else — queries_, the engines, the ShardSink's
+/// recording buffer — is confined to the worker thread between Start()
+/// and Join(); CountersOf()/NumPartitionsOf()/PlanFor() are caller-thread
+/// reads made safe by the Join() happens-before edge, hence "valid only
+/// after Join()".
 class ShardWorker {
  public:
   /// `metrics` (owned by the runtime, may be null) carries this shard's
@@ -85,12 +91,11 @@ class ShardWorker {
 
   /// Checkpoint capture: serializes every live (unfinished) engine on
   /// this shard into `partitions` (ascending query id, then ascending
-  /// partition) and the buffered sink entries into `sink_entries`. MUST
-  /// run on the worker thread — the runtime delivers it via a control
-  /// batch (EventBatch::control), which also guarantees every earlier
-  /// batch has been fully evaluated.
-  Status CaptureState(std::vector<PartitionSnapshot>* partitions,
-                      std::string* sink_entries);
+  /// partition). MUST run on the worker thread — the runtime delivers it
+  /// via a control batch (EventBatch::control), which also guarantees
+  /// every earlier batch has been fully evaluated and published. The
+  /// sink's held entries are serialized by the runtime from its outbox.
+  Status CaptureState(std::vector<PartitionSnapshot>* partitions);
 
   /// Checkpoint restore into a freshly started worker: adopts `snapshot`
   /// as the active query set, rebuilds an engine for each of this
@@ -98,7 +103,8 @@ class ShardWorker {
   /// every capture-time `sink_blobs` entry the buffered matches whose
   /// partition `shard_of` maps to `shard`, remapping their query ids
   /// through `query_remap` (capture-time runtime id -> this runtime's
-  /// id). Same control-batch delivery contract as CaptureState.
+  /// id), and publishes them to the outbox. Same control-batch delivery
+  /// contract as CaptureState.
   Status RestoreState(std::shared_ptr<const QuerySetSnapshot> snapshot,
                       const std::vector<const PartitionSnapshot*>& partitions,
                       const std::vector<const std::string*>& sink_blobs,

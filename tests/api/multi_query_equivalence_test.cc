@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "adaptive/partitioned_runtime.h"
 #include "api/cep_service.h"
 #include "api/keyed_runtime.h"
+#include "parallel/shard_router.h"
+#include "pattern/pattern.h"
 #include "workload/keyed_generator.h"
 
 namespace cepjoin {
@@ -242,6 +246,112 @@ TEST(MultiQueryEquivalenceTest, MidStreamDeregisterSeesOnlyThePrefix) {
     EXPECT_EQ(doomed->num_partitions().value(), prefix_ref.num_partitions);
     EXPECT_EQ(Sequence(full_sink), full_ref.sequence);
     ExpectSameCounters(full->counters().value(), full_ref.counters, "full");
+  }
+}
+
+/// The standalone single-threaded reference for a query fed exactly
+/// `events`: one PartitionedRuntime, finished at the end.
+std::vector<std::string> RunStandalonePartitioned(
+    const KeyedWorkload& workload, const SimplePattern& pattern,
+    const std::string& algorithm, const std::vector<EventPtr>& events) {
+  CollectingSink sink;
+  PartitionedRuntime runtime(pattern, workload.stream,
+                             workload.registry.size(), algorithm, &sink);
+  runtime.OnBatch(events.data(), events.size());
+  runtime.Finish();
+  return Sequence(sink);
+}
+
+TEST(MultiQueryEquivalenceTest, MidStreamDeregisterFlushesAtTheCut) {
+  // Trailing negation: a deregistered query's engines emit matches when
+  // they are finished at the cut. After the cut one shard — the owner of
+  // the lowest partition with such a flush — gets no events, yet must
+  // still pass the cut: its flush leads the query's final matches.
+  // Each query's delivered sequence must equal its standalone run on its
+  // own sub-stream, on every repetition.
+  KeyedWorkload workload = MakeKeyedWorkload(16, 4.0, 43);
+  SimplePattern pattern = PatternBuilder(OperatorKind::kSeq,
+                                         workload.registry)
+                              .Event("A", "a")
+                              .Event("B", "b")
+                              .NegatedEvent("C", "c")
+                              .Within(0.2)
+                              .Build();
+  const std::vector<EventPtr>& events = workload.stream.events();
+  const size_t cut = events.size() / 2;
+  const std::vector<EventPtr> prefix(events.begin(), events.begin() + cut);
+
+  // The deregistered query's reference, and the partitions its engines
+  // flush matches from when finished at the cut.
+  CollectingSink doomed_ref_sink;
+  PartitionedRuntime doomed_ref_runtime(pattern, workload.stream,
+                                        workload.registry.size(), "GREEDY",
+                                        &doomed_ref_sink);
+  doomed_ref_runtime.OnBatch(prefix.data(), prefix.size());
+  const size_t before_flush = doomed_ref_sink.matches.size();
+  doomed_ref_runtime.Finish();
+  std::set<uint32_t> flushed_partitions;
+  for (size_t i = before_flush; i < doomed_ref_sink.matches.size(); ++i) {
+    flushed_partitions.insert(
+        doomed_ref_sink.matches[i].slots[0][0]->partition);
+  }
+  ASSERT_FALSE(flushed_partitions.empty());
+  const std::vector<std::string> doomed_ref = Sequence(doomed_ref_sink);
+
+  for (size_t threads : {2u, 4u}) {
+    ShardRouter shard_map(threads);
+    const size_t idle_shard = shard_map.ShardOf(*flushed_partitions.begin());
+    // Another shard flushes too, so the idle shard's flush order matters.
+    bool other_shard_flushes = false;
+    for (uint32_t partition : flushed_partitions) {
+      other_shard_flushes |= shard_map.ShardOf(partition) != idle_shard;
+    }
+    ASSERT_TRUE(other_shard_flushes);
+    // The events the surviving query sees: all of the prefix, then only
+    // the suffix events whose partition the idle shard does not own.
+    std::vector<EventPtr> suffix;
+    for (size_t i = cut; i < events.size(); ++i) {
+      if (shard_map.ShardOf(events[i]->partition) != idle_shard) {
+        suffix.push_back(events[i]);
+      }
+    }
+    std::vector<EventPtr> survivor_stream = prefix;
+    survivor_stream.insert(survivor_stream.end(), suffix.begin(),
+                           suffix.end());
+    const std::vector<std::string> survivor_ref = RunStandalonePartitioned(
+        workload, pattern, "TRIVIAL", survivor_stream);
+
+    for (int repetition = 0; repetition < 3; ++repetition) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " repetition=" + std::to_string(repetition));
+      ServiceOptions options;
+      options.history = &workload.stream;
+      options.num_types = workload.registry.size();
+      options.num_threads = threads;
+      options.batch_size = 16;
+      auto service = CepService::Create(options).value();
+
+      CollectingSink doomed_sink;
+      auto doomed = service->Register(QuerySpec::Simple(pattern)
+                                          .Keyed()
+                                          .WithAlgorithm("GREEDY")
+                                          .WithSink(&doomed_sink));
+      CollectingSink survivor_sink;
+      auto survivor = service->Register(QuerySpec::Simple(pattern)
+                                            .Keyed()
+                                            .WithAlgorithm("TRIVIAL")
+                                            .WithSink(&survivor_sink));
+      ASSERT_TRUE(doomed.ok());
+      ASSERT_TRUE(survivor.ok());
+
+      service->OnBatch(prefix.data(), prefix.size());
+      ASSERT_TRUE(doomed->Deregister().ok());
+      service->OnBatch(suffix.data(), suffix.size());
+      service->Finish();
+
+      EXPECT_EQ(Sequence(doomed_sink), doomed_ref);
+      EXPECT_EQ(Sequence(survivor_sink), survivor_ref);
+    }
   }
 }
 

@@ -204,8 +204,9 @@ TEST_F(ServiceCheckpointTest, CrashRecoveryIsEquivalentAtEveryThreadCount) {
         }
         ASSERT_TRUE(s1.service->CheckpointTo(dir).ok());
         // Matches already delivered to the sinks at the cut are the
-        // crash-surviving prefix (sharded queries buffer until Finish,
-        // so theirs is empty — those matches live in the checkpoint).
+        // crash-surviving prefix (sharded queries deliver everything the
+        // shards' watermark has passed before CheckpointTo returns; only
+        // matches it has not passed live in the checkpoint).
         keyed_prefix = Drain(s1.keyed_sink);
         unkeyed_prefix = Drain(s1.unkeyed_sink);
         auto lost = s1.service->PumpAttachedSources(40);

@@ -12,7 +12,9 @@
 
 #include "adaptive/partitioned_runtime.h"
 #include "api/keyed_runtime.h"
+#include "durable/snapshot_codec.h"
 #include "parallel/sharded_runtime.h"
+#include "pattern/pattern.h"
 #include "workload/keyed_generator.h"
 
 namespace cepjoin {
@@ -21,14 +23,16 @@ namespace {
 struct Reference {
   std::vector<std::string> sorted_fingerprints;
   std::vector<std::string> emission_order;  // fingerprints, arrival order
+  std::vector<EventSerial> emit_serials;    // same order
   EngineCounters counters;
   size_t num_partitions = 0;
 };
 
 Reference RunPartitioned(const KeyedWorkload& workload,
+                         const SimplePattern& pattern,
                          const std::string& algorithm) {
   CollectingSink sink;
-  PartitionedRuntime runtime(workload.pattern, workload.stream,
+  PartitionedRuntime runtime(pattern, workload.stream,
                              workload.registry.size(), algorithm, &sink);
   runtime.ProcessStream(workload.stream);
   runtime.Finish();
@@ -36,10 +40,16 @@ Reference RunPartitioned(const KeyedWorkload& workload,
   ref.sorted_fingerprints = sink.Fingerprints();
   for (const Match& m : sink.matches) {
     ref.emission_order.push_back(m.Fingerprint());
+    ref.emit_serials.push_back(m.emit_serial);
   }
   ref.counters = runtime.TotalCounters();
   ref.num_partitions = runtime.num_partitions();
   return ref;
+}
+
+Reference RunPartitioned(const KeyedWorkload& workload,
+                         const std::string& algorithm) {
+  return RunPartitioned(workload, workload.pattern, algorithm);
 }
 
 TEST(ShardedEquivalenceTest, MatchSetsAndCountersIdenticalAcrossThreads) {
@@ -141,8 +151,7 @@ TEST(ShardedEquivalenceTest, RuntimeOptionsBatchSizePlumbsToShards) {
 TEST(ShardedEquivalenceTest, DrainOrderMatchesSingleThreadedEmissionOrder) {
   // OnEvent-time matches are emitted in global arrival order by the
   // single-threaded runtime; the canonical drain reproduces exactly that
-  // order (Finish-time ties aside, which this window-bounded pattern
-  // only produces in the final window).
+  // order.
   KeyedWorkload workload = MakeKeyedWorkload(6, 4.0, 23);
   Reference ref = RunPartitioned(workload, "GREEDY");
   ASSERT_GT(ref.emission_order.size(), 0u);
@@ -161,6 +170,104 @@ TEST(ShardedEquivalenceTest, DrainOrderMatchesSingleThreadedEmissionOrder) {
   // Sorted sets always agree; compare sequences on the emit_serial-sorted
   // reference (single-threaded emission is already emit_serial-ordered).
   EXPECT_EQ(drain, ref.emission_order);
+}
+
+TEST(ShardedEquivalenceTest, FinishTimeFlushesDrainInEmissionOrder) {
+  // A trailing negation makes engines emit matches from Finish(), stamped
+  // with their partition's LAST serial. PartitionedRuntime emits them
+  // after every other match, in ascending partition order; the sharded
+  // drain must too, instead of interleaving them at those old serials.
+  KeyedWorkload workload = MakeKeyedWorkload(64, 6.0, 11);
+  SimplePattern pattern = PatternBuilder(OperatorKind::kSeq,
+                                         workload.registry)
+                              .Event("A", "a")
+                              .Event("B", "b")
+                              .NegatedEvent("C", "c")
+                              .Within(0.05)
+                              .Build();
+  Reference ref = RunPartitioned(workload, pattern, "GREEDY");
+  ASSERT_GT(ref.emission_order.size(), 0u);
+
+  // The case must really be exercised: some match is emitted after one
+  // with a larger emit_serial (a Finish-time flush).
+  size_t out_of_serial_order = 0;
+  EventSerial max_serial = 0;
+  for (EventSerial serial : ref.emit_serials) {
+    if (serial < max_serial) ++out_of_serial_order;
+    max_serial = std::max(max_serial, serial);
+  }
+  ASSERT_GT(out_of_serial_order, 0u);
+
+  for (size_t batch_size : {1u, 7u, 256u}) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("batch_size=" + std::to_string(batch_size) +
+                   " threads=" + std::to_string(threads));
+      CollectingSink sink;
+      ShardedOptions options;
+      options.num_threads = threads;
+      options.batch_size = batch_size;
+      ShardedRuntime runtime(pattern, workload.stream,
+                             workload.registry.size(), "GREEDY", &sink,
+                             options);
+      runtime.ProcessStream(workload.stream);
+      runtime.Finish();
+      std::vector<std::string> drain;
+      for (const Match& m : sink.matches) drain.push_back(m.Fingerprint());
+      EXPECT_EQ(drain, ref.emission_order);
+    }
+  }
+}
+
+TEST(ShardedEquivalenceTest, CheckpointDeliversEverythingReleasable) {
+  // Matches reach the sink as the shards' watermark passes them, not at
+  // Finish(). CaptureCheckpoint quiesces every shard, so right after it
+  // the sink must hold exactly what the single-threaded runtime had
+  // emitted after the same events, and the snapshot no held entries.
+  KeyedWorkload workload = MakeKeyedWorkload(8, 6.0, 47);
+  SimplePattern negation = PatternBuilder(OperatorKind::kSeq,
+                                          workload.registry)
+                               .Event("A", "a")
+                               .Event("B", "b")
+                               .NegatedEvent("C", "c")
+                               .Within(0.05)
+                               .Build();
+  const std::vector<EventPtr>& events = workload.stream.events();
+  const size_t half = events.size() / 2;
+  for (const SimplePattern* pattern : {&workload.pattern, &negation}) {
+    SCOPED_TRACE(pattern->Describe(&workload.registry));
+    CollectingSink single_sink;
+    PartitionedRuntime single(*pattern, workload.stream,
+                              workload.registry.size(), "GREEDY",
+                              &single_sink);
+    single.OnBatch(events.data(), half);
+    ASSERT_GT(single_sink.matches.size(), 0u);
+
+    CollectingSink sink;
+    ShardedOptions options;
+    options.num_threads = 2;
+    options.batch_size = 32;
+    ShardedRuntime runtime(*pattern, workload.stream,
+                           workload.registry.size(), "GREEDY", &sink,
+                           options);
+    runtime.OnBatch(events.data(), half);
+    ShardedCheckpoint checkpoint;
+    ASSERT_TRUE(runtime.CaptureCheckpoint(&checkpoint).ok());
+
+    std::vector<std::string> delivered, expected;
+    for (const Match& m : sink.matches) delivered.push_back(m.Fingerprint());
+    for (const Match& m : single_sink.matches) {
+      expected.push_back(m.Fingerprint());
+    }
+    EXPECT_EQ(delivered, expected);
+    ASSERT_EQ(checkpoint.sink_blobs.size(), 2u);
+    for (const std::string& blob : checkpoint.sink_blobs) {
+      EngineStateReader reader(blob);
+      ASSERT_TRUE(reader.Init().ok());
+      EXPECT_EQ(reader.payload().U64(), 0u);
+      EXPECT_TRUE(reader.status().ok());
+    }
+    runtime.Finish();
+  }
 }
 
 TEST(ShardedEquivalenceTest, PlansIdenticalToPartitionedRuntime) {

@@ -438,6 +438,7 @@ REQUIRED_GUARDS = [
     ("src/parallel/bounded_queue.h", "closed_", "mu_"),
     ("src/obs/metrics.h", "entries_", "mu_"),
     ("src/obs/metrics.h", "index_", "mu_"),
+    ("src/parallel/concurrent_sink.h", "outbox_", "outbox_mu_"),
 ]
 
 

@@ -98,9 +98,12 @@ class RawMutexTest(unittest.TestCase):
 class RequiredGuardsTest(unittest.TestCase):
     def test_fires_on_fixture(self):
         findings = cep_lint.check_required_guards(FIXTURES / "required_guards")
-        self.assertEqual(len(findings), 1, messages(findings))
+        self.assertEqual(len(findings), 2, messages(findings))
         self.assertIn("items_", findings[0].message)
         self.assertIn("CEPJOIN_GUARDED_BY(mu_)", findings[0].message)
+        # The shard sink's outbox is the worker -> caller hand-off.
+        self.assertIn("outbox_", findings[1].message)
+        self.assertIn("CEPJOIN_GUARDED_BY(outbox_mu_)", findings[1].message)
 
     def test_clean_on_repo(self):
         self.assertEqual(messages(cep_lint.check_required_guards(REPO)), [])
