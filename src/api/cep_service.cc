@@ -326,6 +326,20 @@ StatusOr<QueryHandle> CepService::Register(const QuerySpec& spec) {
             : BuildDnfEngine(state.subpatterns, state.plans, inline_sink);
   }
 
+  // Widen the retraction horizon to this query's delta windows (keyed
+  // queries are simple patterns; unkeyed ones run their subpatterns).
+  auto widen = [this](const SimplePattern& pattern) {
+    if (pattern.delta_input()) {
+      retraction_horizon_ =
+          std::max(retraction_horizon_, 2.0 * pattern.window());
+    }
+  };
+  if (spec.keyed()) widen(*spec.simple());
+  for (const SimplePattern& sub : state.subpatterns) widen(sub);
+  if (attached_ledger_ != nullptr) {
+    attached_ledger_->set_horizon(retraction_horizon_);
+  }
+
   state.active = true;
   uint64_t id = next_id_++;
   queries_.emplace(id, std::move(state));
@@ -470,6 +484,7 @@ IngestResult CepService::ProcessSourceAsync(
   ingest.chunk_size = options_.batch_size;
   ingest.source_retry_limit = options_.source_retry_limit;
   ingest.source_retry_backoff = options_.source_retry_backoff;
+  ingest.retraction_horizon = retraction_horizon_;
   // The pipeline owns the ingest throughput counters and watermark
   // gauges for this run (merged runs bypass OnBatch, so nothing double
   // counts).

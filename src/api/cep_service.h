@@ -374,6 +374,9 @@ class CepService {
   Status RefillAttachedHead(size_t index);
   /// Serializes one inline-hosted query's engine state section.
   Status SaveQueryState(const QueryState& state, EngineStateWriter* w) const;
+  /// Creates the attached-source ledger, bounded by the retraction
+  /// horizon, and resolves its late-retraction counter.
+  void CreateAttachedLedger();
 
   struct AttachedSource {
     std::unique_ptr<StreamSource> source;
@@ -414,6 +417,14 @@ class CepService {
   uint64_t attached_next_serial_ = 0;
   PartitionSequencer attached_seq_;
   std::unique_ptr<RetractionLedger> attached_ledger_;
+  /// How far behind the stream a retraction can still change any
+  /// registered query's output: 2 x the largest window of any delta
+  /// query (or DNF subpattern) ever registered. A match containing x
+  /// ends at most one window after x.ts, and an engine keeps it
+  /// revocable for one window more. Never shrinks. Bounds the attached
+  /// ledger and each ProcessSourceAsync merge ledger.
+  Timestamp retraction_horizon_ = 0.0;
+  Counter* late_retractions_ = nullptr;  // null = metrics off / no ledger
   EventArena attached_arena_;
   Counter* restores_total_ = nullptr;  // null = metrics off
   bool finished_ = false;

@@ -23,7 +23,7 @@ namespace {
 /// Version of the service-level checkpoint payload (the section layout
 /// AROUND the per-engine blobs; those carry kEngineStateFormatVersion
 /// themselves). Bump on any layout change.
-constexpr uint32_t kServiceCheckpointVersion = 1;
+constexpr uint32_t kServiceCheckpointVersion = 2;
 
 /// Merge order of two source heads: earlier timestamp first, inserts
 /// before retractions at equal timestamps, remaining ties to the lower
@@ -39,13 +39,22 @@ bool MergesBefore(const Event& a, const Event& b) {
 
 // ---- durable ingest -------------------------------------------------------
 
+void CepService::CreateAttachedLedger() {
+  attached_ledger_ = std::make_unique<RetractionLedger>();
+  attached_ledger_->set_horizon(retraction_horizon_);
+  if (metrics_registry_ != nullptr) {
+    late_retractions_ =
+        metrics_registry_->GetCounter(metric_names::kIngestLateRetractions);
+  }
+}
+
 Status CepService::AttachSource(std::unique_ptr<StreamSource> source) {
   if (source == nullptr) {
     return Status::InvalidArgument("AttachSource: source is null");
   }
   if (finished_) return Status::FailedPrecondition("AttachSource after Finish");
   if (source->declares_retractions() && attached_ledger_ == nullptr) {
-    attached_ledger_ = std::make_unique<RetractionLedger>();
+    CreateAttachedLedger();
   }
   AttachedSource attached;
   attached.source = std::move(source);
@@ -152,8 +161,13 @@ StatusOr<size_t> CepService::PumpAttachedSources(size_t max_events) {
             "attached source " + std::to_string(best) +
             " emitted a retraction but declared an insert-only stream"));
       }
-      Status resolved = attached_ledger_->Resolve(&e);
-      if (!resolved.ok()) return fail(std::move(resolved));
+      StatusOr<RetractionLedger::Resolution> resolved =
+          attached_ledger_->Resolve(&e);
+      if (!resolved.ok()) return fail(resolved.status());
+      if (*resolved == RetractionLedger::Resolution::kLate &&
+          late_retractions_ != nullptr) {
+        late_retractions_->Inc();
+      }
     } else {
       e.partition_seq = attached_seq_.Next(e.partition);
       if (attached_ledger_ != nullptr) attached_ledger_->RecordInsert(e);
@@ -348,9 +362,7 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
     attached_seq_.LoadFrom(&p);
     uint8_t has_ledger = p.U8();
     if (has_ledger != 0) {
-      if (attached_ledger_ == nullptr) {
-        attached_ledger_ = std::make_unique<RetractionLedger>();
-      }
+      if (attached_ledger_ == nullptr) CreateAttachedLedger();
       attached_ledger_->LoadFrom(&p);
     }
     uint64_t n_sources = p.U64();

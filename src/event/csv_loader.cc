@@ -1,6 +1,7 @@
 #include "event/csv_loader.h"
 
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "event/streaming_csv_source.h"
@@ -16,12 +17,20 @@ CsvLoadResult LoadCsvStream(std::istream& input, EventTypeRegistry* registry) {
   CsvLoadResult result;
   StreamingCsvSource source(&input, registry);
   // A polarity-declaring header turns the stream into a delta stream;
-  // Append then resolves each (source-validated) retraction to the
-  // serial of the insertion it cancels.
+  // TryAppend then resolves each retraction to the serial of the
+  // insertion it cancels, and rejects one that targets no live
+  // insertion (never inserted, or already retracted) on its line.
   if (source.declares_retractions()) result.stream.EnableRetractions();
   Event e;
   while (source.Next(&e)) {
-    result.stream.Append(std::move(e));
+    Status appended = result.stream.TryAppend(std::move(e));
+    if (!appended.ok()) {
+      result.ok = false;
+      result.error = appended.message() + " (line " +
+                     std::to_string(source.line_number()) + ")";
+      result.error_line = source.line_number();
+      return result;
+    }
   }
   if (!source.ok()) {
     result.ok = false;

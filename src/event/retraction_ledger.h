@@ -1,12 +1,8 @@
 #ifndef CEPJOIN_EVENT_RETRACTION_LEDGER_H_
 #define CEPJOIN_EVENT_RETRACTION_LEDGER_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <string>
-#include <tuple>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -17,123 +13,113 @@ namespace cepjoin {
 
 /// Tracks live insertions of a delta stream so a retraction can be
 /// resolved to the serial of the insertion it cancels. Owned by whoever
-/// assigns serials — EventStream::Append for materialized streams, the
-/// ingest merge for streamed sources — and, with dummy serials, by the
-/// CSV sources for input validation before serials exist.
+/// assigns serials: EventStream::Append for materialized streams, the
+/// ingest merge and CepService's attached-source pump for streamed
+/// sources.
 ///
-/// A retraction identifies its target by (type, partition, target_ts);
-/// the ledger maps that key to the stack of still-live serials carrying
-/// it. Duplicate keys (two live insertions of the same type, partition
-/// and timestamp) resolve last-in-first-out, which is deterministic and
+/// A retraction identifies its target by (type, partition, target_ts).
+/// Duplicate keys (two live insertions of the same type, partition and
+/// timestamp) resolve last-in-first-out, which is deterministic and
 /// matches the "retract the most recent occurrence" reading; real
 /// streams with real-valued timestamps essentially never hit this case.
+///
+/// Horizon: a ledger with a finite horizon H forgets an insertion once
+/// the stream's timestamp passes insertion.ts + H, in timestamp order
+/// as records arrive (amortized O(1), never a scan). A retraction whose
+/// target_ts < r.ts - H is *late*: no engine with a window <= H / 2 can
+/// still act on it (see CepService's horizon rule), so it resolves to
+/// its own serial, which no insertion carries, and reaches the engines
+/// as a time-advancing no-op. The default horizon is infinite: every
+/// live insertion stays resolvable. Precisely, "late" means behind the
+/// forget floor: the largest now - H the ledger has applied. With a
+/// constant H that is r.ts - H; after H grows it stays where it was
+/// until the stream catches up, since what was forgotten stays gone.
+///
+/// Layout: one ring of records in arrival (= timestamp) order, an
+/// open-addressing index from key to the newest live record, and a
+/// per-record link to the next-older live record of the same key for
+/// LIFO duplicates. Steady-state inserts allocate nothing.
 class RetractionLedger {
  public:
+  /// How a successful Resolve found its target.
+  enum class Resolution : uint8_t {
+    kLive,  // resolved to a live insertion, which is now retracted
+    kLate,  // target_ts is behind the horizon: resolved to r's own serial
+  };
+
+  /// Sets how far behind the newest timestamp an insertion stays
+  /// resolvable. Must be >= 0; takes effect from the next record.
+  /// Insertions already forgotten stay forgotten (and late).
+  void set_horizon(Timestamp horizon);
+
   /// Registers a live insertion. Call with every polarity=+1 event, in
-  /// stream order.
-  void RecordInsert(const Event& e) {
-    live_[Key(e.type, e.partition, e.ts)].push_back(e.serial);
-  }
+  /// stream order (non-decreasing timestamps).
+  void RecordInsert(const Event& e);
 
-  /// Resolves a retraction against the live set: fills r->target_serial
-  /// with the serial of the (most recent) live insertion of
-  /// (r->type, r->partition, r->target_ts) and removes it from the
-  /// ledger. Fails if no such insertion is live — i.e. it was never
-  /// inserted, or was already retracted.
-  Status Resolve(Event* r) {
-    auto it = live_.find(Key(r->type, r->partition, r->target_ts));
-    if (it == live_.end() || it->second.empty()) {
-      return Status::InvalidArgument(
-          "retraction targets no live insertion (type " +
-          std::to_string(r->type) + ", partition " +
-          std::to_string(r->partition) + ", ts " +
-          std::to_string(r->target_ts) +
-          "): never inserted or already retracted");
-    }
-    r->target_serial = it->second.back();
-    it->second.pop_back();
-    if (it->second.empty()) live_.erase(it);
-    return Status::Ok();
-  }
+  /// Resolves a retraction: fills r->target_serial with the serial of
+  /// the (most recent) live insertion of (r->type, r->partition,
+  /// r->target_ts) and retracts it, or with r->serial for a late
+  /// retraction. Fails if the target is inside the horizon but no such
+  /// insertion is live, i.e. it was never inserted or already retracted.
+  StatusOr<Resolution> Resolve(Event* r);
 
-  size_t live_keys() const { return live_.size(); }
+  /// Live (inserted, not yet retracted or forgotten) insertions.
+  size_t size() const { return live_; }
 
-  /// Checkpoint support: canonical encoding — keys sorted by (type,
-  /// partition, ts bits), each stack written bottom-to-top so reload
-  /// preserves the LIFO resolution order exactly.
-  void SaveTo(SnapshotWriter* w) const {
-    std::vector<const std::pair<const KeyT, std::vector<EventSerial>>*> items;
-    items.reserve(live_.size());
-    for (const auto& entry : live_) items.push_back(&entry);
-    std::sort(items.begin(), items.end(), [](const auto* a, const auto* b) {
-      return std::tie(a->first.type, a->first.partition, a->first.ts_bits) <
-             std::tie(b->first.type, b->first.partition, b->first.ts_bits);
-    });
-    w->U64(items.size());
-    for (const auto* item : items) {
-      w->U32(static_cast<uint32_t>(item->first.type));
-      w->U32(item->first.partition);
-      w->U64(item->first.ts_bits);
-      w->U64(item->second.size());
-      for (EventSerial serial : item->second) w->U64(serial);
-    }
-  }
+  /// Checkpoint support: the forget floor, then the live records in
+  /// arrival order, which is already canonical (a function of the
+  /// stream prefix alone).
+  void SaveTo(SnapshotWriter* w) const;
 
-  /// Replaces this ledger's state with a SaveTo encoding. Malformed
-  /// input latches on the reader; check r->status() after.
-  void LoadFrom(SnapshotReader* r) {
-    live_.clear();
-    uint64_t n = r->U64();
-    for (uint64_t i = 0; i < n && r->ok(); ++i) {
-      KeyT key;
-      key.type = static_cast<TypeId>(r->U32());
-      key.partition = r->U32();
-      key.ts_bits = r->U64();
-      uint64_t depth = r->U64();
-      std::vector<EventSerial> stack;
-      for (uint64_t j = 0; j < depth && r->ok(); ++j) {
-        stack.push_back(r->U64());
-      }
-      if (r->ok()) live_.emplace(key, std::move(stack));
-    }
-  }
+  /// Replaces this ledger's records with a SaveTo encoding (the horizon
+  /// is kept). Malformed input latches DataLoss on the reader; check
+  /// r->status() after.
+  void LoadFrom(SnapshotReader* r);
 
  private:
-  /// Timestamps key by exact bit pattern — a retraction must quote the
-  /// insertion's timestamp verbatim, never a recomputed approximation.
-  static uint64_t TsBits(Timestamp ts) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(ts), "Timestamp must be 64-bit");
-    std::memcpy(&bits, &ts, sizeof(bits));
-    return bits;
-  }
-  struct KeyT {
+  static constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max();
+
+  struct Record {
+    Timestamp ts;
+    EventSerial serial;
+    /// Sequence number of the next-older live record with the same key,
+    /// or kNone. Duplicates share a timestamp, so they are forgotten
+    /// together and a link never outlives its target.
+    uint64_t older;
     TypeId type;
     uint32_t partition;
-    uint64_t ts_bits;
-    bool operator==(const KeyT& o) const {
-      return type == o.type && partition == o.partition &&
-             ts_bits == o.ts_bits;
-    }
+    bool live;
   };
-  struct KeyHash {
-    size_t operator()(const KeyT& k) const {
-      uint64_t h = k.ts_bits;
-      h ^= (static_cast<uint64_t>(k.type) << 32) ^ k.partition;
-      // 64-bit mix (splitmix64 finalizer).
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 27;
-      h *= 0x94d049bb133111ebULL;
-      h ^= h >> 31;
-      return static_cast<size_t>(h);
-    }
-  };
-  static KeyT Key(TypeId type, uint32_t partition, Timestamp ts) {
-    return KeyT{type, partition, TsBits(ts)};
-  }
 
-  std::unordered_map<KeyT, std::vector<EventSerial>, KeyHash> live_;
+  /// Raises the forget floor to now - horizon and forgets the records
+  /// behind it, oldest first.
+  void Advance(Timestamp now);
+  /// Appends a live record at the ring's tail and indexes it.
+  void Append(TypeId type, uint32_t partition, Timestamp ts,
+              EventSerial serial);
+  Record& At(uint64_t seq) { return ring_[seq & (ring_.size() - 1)]; }
+  const Record& At(uint64_t seq) const {
+    return ring_[seq & (ring_.size() - 1)];
+  }
+  /// Index slot holding `key`'s newest live record, or the empty slot
+  /// where it would go.
+  size_t FindSlot(TypeId type, uint32_t partition, Timestamp ts) const;
+  /// Empties `slot`, shifting later probes back (no tombstones).
+  void EraseSlot(size_t slot);
+  void GrowRing();
+  void GrowIndex();
+
+  std::vector<Record> ring_;  // power-of-two capacity
+  uint64_t head_ = 0;         // sequence number of the oldest record
+  uint64_t tail_ = 0;         // sequence number of the next record
+  /// Open-addressing (linear probing) index: record sequence + 1, 0 =
+  /// empty. Power-of-two capacity, at most half full.
+  std::vector<uint64_t> index_;
+  size_t keys_ = 0;  // occupied index slots
+  size_t live_ = 0;
+  Timestamp horizon_ = std::numeric_limits<Timestamp>::infinity();
+  /// Every record with ts < floor_ is forgotten; never decreases.
+  Timestamp floor_ = -std::numeric_limits<Timestamp>::infinity();
 };
 
 }  // namespace cepjoin

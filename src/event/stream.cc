@@ -7,22 +7,27 @@
 namespace cepjoin {
 
 void EventStream::Append(Event e) {
-  if (!events_.empty()) {
-    CEPJOIN_CHECK_GE(e.ts, events_.back()->ts)
-        << "streams must be appended in timestamp order";
+  Status appended = TryAppend(std::move(e));
+  CEPJOIN_CHECK(appended.ok()) << appended.message();
+}
+
+Status EventStream::TryAppend(Event e) {
+  if (!events_.empty() && !(e.ts >= events_.back()->ts)) {
+    return Status::InvalidArgument(
+        "streams must be appended in timestamp order");
   }
   e.serial = static_cast<EventSerial>(events_.size());
   if (e.IsRetraction()) {
-    CEPJOIN_CHECK(retractions_enabled())
-        << "retraction appended to a stream without EnableRetractions()";
+    if (!retractions_enabled()) {
+      return Status::InvalidArgument(
+          "retraction appended to a stream without EnableRetractions()");
+    }
     // A retraction is a command about an earlier insertion, not an
     // occurrence: it takes a stream slot (serial) for deterministic
     // ordering, but does not advance the partition sequencer or the
-    // type counts. Sources validate untrusted input first, so a
-    // resolution failure here is a programmer error.
+    // type counts.
     e.partition_seq = 0;
-    Status resolved = ledger_->Resolve(&e);
-    CEPJOIN_CHECK(resolved.ok()) << resolved.message();
+    CEPJOIN_RETURN_IF_ERROR(ledger_->Resolve(&e).status());
   } else {
     e.partition_seq = partition_seq_.Next(e.partition);
     if (e.type >= type_counts_.size()) {
@@ -32,6 +37,7 @@ void EventStream::Append(Event e) {
     if (ledger_ != nullptr) ledger_->RecordInsert(e);
   }
   events_.push_back(arena_.Add(std::move(e)));
+  return Status::Ok();
 }
 
 void EventStream::EnableRetractions() {

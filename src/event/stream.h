@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/status.h"
 #include "event/arena.h"
 #include "event/event.h"
 #include "event/partition_sequencer.h"
@@ -23,11 +24,15 @@ class EventStream {
   /// Appends an event. `e.ts` must be >= the previous event's timestamp;
   /// serial and per-partition sequence numbers are assigned here. With
   /// retractions enabled, a polarity=-1 event has its target_serial
-  /// resolved here against the stream's own insertions; appending a
-  /// retraction that targets no live insertion is a programmer error
-  /// (CHECK) — sources validate untrusted input with Status before it
-  /// reaches the stream.
+  /// resolved here against the stream's own insertions (an unbounded
+  /// ledger: a materialized stream holds every event anyway). Any
+  /// violation, such as a retraction that targets no live insertion, is
+  /// a programmer error (CHECK); untrusted input goes through TryAppend.
   void Append(Event e);
+
+  /// Append for untrusted input: the same checks, returned as a Status
+  /// instead of a CHECK. On error the stream is unchanged.
+  Status TryAppend(Event e);
 
   /// Opts this stream into ± delta semantics. Must be called before the
   /// first retraction is appended; inserts appended earlier are NOT

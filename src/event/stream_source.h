@@ -43,7 +43,7 @@ class StreamSource {
 
   /// True iff this source may emit polarity=-1 events. The ingest merge
   /// checks it once up front: any declaring source makes the merge
-  /// maintain a RetractionLedger over ALL merged insertions (retraction
+  /// maintain a RetractionLedger over the merged insertions (retraction
   /// targets are resolved against the recombined stream, so they may
   /// cross sources). Insert-only pipelines skip the ledger entirely.
   virtual bool declares_retractions() const { return false; }

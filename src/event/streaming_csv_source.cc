@@ -167,7 +167,6 @@ Status StreamingCsvSource::SeekTo(uint64_t position) {
   // The rows before the offset were validated before the checkpoint;
   // re-validation restarts from the resume point only.
   previous_ts_ = -std::numeric_limits<double>::infinity();
-  lenient_validation_ = true;
   return Status::Ok();
 }
 
@@ -230,7 +229,6 @@ bool StreamingCsvSource::Next(Event* out) {
           return Fail("insert rows must leave retract_ts empty, got '" +
                       cells[retract_ts_cell_] + "'");
         }
-        validation_ledger_.RecordInsert(*out);
       } else {
         out->target_ts = out->ts;
         if (has_retract_ts_ && !cells[retract_ts_cell_].empty()) {
@@ -241,15 +239,6 @@ bool StreamingCsvSource::Next(Event* out) {
           if (out->target_ts > out->ts) {
             return Fail("retract_ts must not exceed the row's own ts");
           }
-        }
-        // Source-local key validation; the serial-assigning layer
-        // resolves the real target downstream. After a SeekTo, a
-        // failed resolution may simply mean the target row precedes
-        // the resume point (validated before the checkpoint) — let
-        // the downstream ledger decide then.
-        Status resolved = validation_ledger_.Resolve(out);
-        if (!resolved.ok() && !lenient_validation_) {
-          return Fail(resolved.message());
         }
       }
     }

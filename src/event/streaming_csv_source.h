@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "event/event_type.h"
-#include "event/retraction_ledger.h"
 #include "event/stream_source.h"
 
 namespace cepjoin {
@@ -37,11 +36,12 @@ namespace cepjoin {
 /// (finite, <= the row's own ts; without a retract_ts column it
 /// defaults to the row's ts). Inserts must leave retract_ts empty.
 /// Validation is strict, mirroring the non-finite-timestamp hardening:
-/// any other polarity value, or a retraction of a (type, partition, ts)
-/// key this source never inserted (or already retracted), is a parse
-/// error naming the line — never undefined engine behavior. The header
-/// is parsed at construction so declares_retractions() is valid before
-/// the first Next().
+/// any other polarity value is a parse error naming the line. Whether a
+/// retraction's target was ever inserted is checked where serials are
+/// assigned (EventStream::TryAppend, the ingest merge, CepService's
+/// attached-source pump), which returns a Status for it. The header is
+/// parsed at construction so declares_retractions() is valid before the
+/// first Next().
 ///
 /// Registry modes:
 ///  - mutable registry: types are registered on first sight with the
@@ -78,12 +78,9 @@ class StreamingCsvSource : public StreamSource {
   /// Positional replay: the token is the byte offset of the next unread
   /// row (tracked after every consumed line, so it stays valid at EOF
   /// where tellg() fails). SeekTo() repositions the underlying stream at
-  /// such an offset and resumes parsing there: the monotone-timestamp
-  /// baseline resets to the resume point, and retraction-key validation
-  /// goes lenient for targets inserted before the seek (the rows before
-  /// the offset were already validated before the checkpoint was cut;
-  /// the serial-assigning layer still resolves — and rejects — bad
-  /// targets downstream). The header must have parsed successfully.
+  /// such an offset and resumes parsing there; the monotone-timestamp
+  /// baseline resets to the resume point. The header must have parsed
+  /// successfully.
   bool supports_position() const override { return true; }
   uint64_t position() const override { return stream_pos_; }
   Status SeekTo(uint64_t position) override;
@@ -114,18 +111,11 @@ class StreamingCsvSource : public StreamSource {
   uint64_t stream_pos_ = 0;
   double previous_ts_;
   bool has_polarity_ = false;
-  /// Set by SeekTo(): retractions whose targets predate the seek no
-  /// longer fail source-local validation (see SeekTo's contract).
-  bool lenient_validation_ = false;
   bool has_retract_ts_ = false;
   bool header_parsed_ = false;
   bool done_ = false;
   bool ok_ = true;
   std::string error_;
-  /// Source-local validation of retraction keys (dummy serials): bad
-  /// input fails here with a line number instead of reaching the
-  /// serial-assigning layer's CHECK. Empty for insert-only files.
-  RetractionLedger validation_ledger_;
 };
 
 namespace internal {

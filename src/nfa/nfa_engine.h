@@ -113,7 +113,8 @@ class NfaEngine : public Engine {
   /// Consumes one polarity=-1 event: drops the retracted event from the
   /// window/negation buffers, kills every partial match bound to it,
   /// discards pending (never-emitted) matches containing it, and emits
-  /// revocations for previously emitted matches that do.
+  /// revocations for previously emitted matches that do and whose
+  /// max_ts is still inside the window (>= r.ts - window).
   void ProcessRetraction(const Event& r);
   /// Removes the row with `serial` from `buffer` (columns in lockstep),
   /// refunding its exact buffered bytes. No-op if absent.

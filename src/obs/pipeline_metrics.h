@@ -43,6 +43,8 @@ inline constexpr char kLastPosition[] = "cep_query_last_position";
 inline constexpr char kStageSeconds[] = "cep_stage_seconds";
 inline constexpr char kIngestSourceRetries[] =
     "cep_ingest_source_retries_total";
+inline constexpr char kIngestLateRetractions[] =
+    "cep_ingest_late_retractions_total";
 inline constexpr char kCheckpointsTotal[] = "cep_checkpoints_total";
 inline constexpr char kCheckpointFailures[] = "cep_checkpoint_failures_total";
 inline constexpr char kCheckpointsSkipped[] = "cep_checkpoints_skipped_total";

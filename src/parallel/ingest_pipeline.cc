@@ -246,9 +246,15 @@ IngestResult IngestPipeline::Run(const RunConsumer& consume) {
   // declaring source turns it on for the whole merge — targets may
   // cross sources. Insert-only pipelines never touch it.
   std::unique_ptr<RetractionLedger> ledger;
+  Counter* late_retractions = nullptr;  // null = metrics off
   for (const auto& source : sources_) {
     if (source->declares_retractions()) {
       ledger = std::make_unique<RetractionLedger>();
+      ledger->set_horizon(options_.retraction_horizon);
+      if (options_.metrics != nullptr) {
+        late_retractions = options_.metrics->GetCounter(
+            metric_names::kIngestLateRetractions);
+      }
       break;
     }
   }
@@ -298,13 +304,17 @@ IngestResult IngestPipeline::Run(const RunConsumer& consume) {
         // Like EventStream::Append: a retraction holds a serial but no
         // partition sequence slot and no type count.
         e.partition_seq = 0;
-        Status resolved = ledger->Resolve(&e);
+        StatusOr<RetractionLedger::Resolution> resolved = ledger->Resolve(&e);
         if (!resolved.ok()) {
           // Same contract as a source failure: the valid merged prefix
           // stays delivered, the offending event is dropped.
-          result.error = resolved.message();
+          result.error = resolved.status().message();
           failed = true;
           continue;
+        }
+        if (*resolved == RetractionLedger::Resolution::kLate &&
+            late_retractions != nullptr) {
+          late_retractions->Inc();
         }
       } else {
         e.partition_seq = partition_seq.Next(e.partition);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,6 +51,12 @@ struct IngestOptions {
   size_t source_retry_limit = 0;
   /// Initial backoff before the first retry; doubles per attempt.
   std::chrono::milliseconds source_retry_backoff{10};
+  /// Delta streams: how far behind the merge frontier an insertion stays
+  /// resolvable by a retraction (RetractionLedger's horizon). Retractions
+  /// of older targets pass through as late no-ops, counted by
+  /// cep_ingest_late_retractions_total. CepService derives it from its
+  /// registered queries' windows; the default keeps every insertion.
+  Timestamp retraction_horizon = std::numeric_limits<Timestamp>::infinity();
   /// Observability registry (not owned, may be null = metrics off).
   /// When set, the pipeline exposes per-source event-time watermarks
   /// (cep_source_watermark_seconds{source=i}: the last timestamp each

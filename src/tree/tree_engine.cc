@@ -333,7 +333,9 @@ void TreeEngine::ProcessRetraction(const Event& r) {
     if (store_mirror) instance_stores_[node].Filter(keep_rows);
   }
   // Pending (trailing-negation) matches containing the event were never
-  // emitted: discard silently, nothing to revoke.
+  // emitted: discard silently, nothing to revoke. The deadline pass just
+  // before left only entries with min_ts + window >= r.ts, all inside
+  // the window.
   size_t keep = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     if (!MatchContainsSerial(pending_[i].match, target)) {
@@ -342,10 +344,16 @@ void TreeEngine::ProcessRetraction(const Event& r) {
     }
   }
   pending_.resize(keep);
-  // Previously emitted matches revoke in their original emission order.
+  // Previously emitted matches revoke in their original emission order,
+  // if still inside the window: Sweep forgets a logged match once its
+  // max_ts falls behind now - window, so a match behind that edge is
+  // final whether or not a sweep has run yet (the log is only scanned
+  // once it holds emitted_scan_threshold_ entries).
+  const Timestamp horizon = r.ts - cp_.window();
   keep = 0;
   for (size_t i = 0; i < emitted_.size(); ++i) {
-    if (MatchContainsSerial(emitted_[i].match, target)) {
+    if (emitted_[i].max_ts >= horizon &&
+        MatchContainsSerial(emitted_[i].match, target)) {
       EmitRevocation(std::move(emitted_[i].match));
     } else {
       if (keep != i) emitted_[keep] = std::move(emitted_[i]);

@@ -100,7 +100,8 @@ class TreeEngine : public Engine {
   /// columnar leaf/store mirrors compacted in lockstep, store_bytes
   /// refunded exactly — the columnar combine requires mirrors congruent
   /// with live instances), discards pending matches containing it, and
-  /// emits revocations for previously emitted matches that do.
+  /// emits revocations for previously emitted matches that do and whose
+  /// max_ts is still inside the window (>= r.ts - window).
   void ProcessRetraction(const Event& r);
   /// Removes the row with `serial` from `buffer`, refunding its exact
   /// buffered bytes. No-op if absent.

@@ -490,5 +490,91 @@ TEST(RetractionShardedTest, FullRetractQuiescenceAcrossThreadCounts) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Whether a retraction revokes a logged match must not depend on how
+// many matches the engine has logged. Sweep scans the revocation log
+// only once it holds 64 entries, and forgets entries whose max_ts is
+// behind now - window; ProcessRetraction must apply the same edge.
+// Before it did, retracting A@0 at t = 10 below revoked all k = 63
+// matches but none of k = 64.
+
+struct LateRetractionRun {
+  uint64_t emitted = 0;
+  uint64_t revoked = 0;
+};
+
+// SEQ(A, B), window 1 s: A@0, k B's in [0.5, 0.57], 70 fillers of an
+// unrelated type from t = 2, and a retraction of A@0 at `retract_at`
+// (placed in timestamp order).
+LateRetractionRun RunRetractionOfFirstEvent(const EnginePlan& plan, int k,
+                                            Timestamp retract_at) {
+  constexpr TypeId kA = 0, kB = 1, kFiller = 2;
+  SimplePattern pattern =
+      SimplePattern(OperatorKind::kSeq,
+                    {{kA, "a", false, false}, {kB, "b", false, false}}, {},
+                    1.0)
+          .WithDeltaInput();
+  auto make = [](TypeId type, Timestamp ts) {
+    Event e;
+    e.type = type;
+    e.ts = ts;
+    e.attrs = {0.0};
+    return e;
+  };
+  Event retraction = make(kA, retract_at);
+  retraction.polarity = -1;
+  retraction.target_ts = 0.0;
+
+  std::vector<Event> events = {make(kA, 0.0)};
+  for (int i = 0; i < k; ++i) {
+    events.push_back(make(kB, 0.5 + 0.07 * i / std::max(k - 1, 1)));
+  }
+  for (int i = 0; i < 70; ++i) events.push_back(make(kFiller, 2.0 + 0.01 * i));
+  EventStream stream;
+  stream.EnableRetractions();
+  bool retracted = false;
+  for (const Event& e : events) {
+    if (!retracted && retract_at < e.ts) {
+      stream.Append(retraction);
+      retracted = true;
+    }
+    stream.Append(e);
+  }
+  if (!retracted) stream.Append(retraction);
+
+  CollectingSink sink;
+  std::unique_ptr<Engine> engine = BuildEngine(pattern, plan, &sink);
+  for (const EventPtr& e : stream.events()) engine->OnEvent(e);
+  engine->Finish();
+  LateRetractionRun run;
+  for (const Match& m : sink.matches) {
+    ++(m.IsRevocation() ? run.revoked : run.emitted);
+  }
+  return run;
+}
+
+TEST(LateRetractionTest, RevocationDoesNotDependOnTheLogSize) {
+  EnginePlan nfa;
+  nfa.kind = EnginePlan::Kind::kOrder;
+  nfa.order = OrderPlan::Identity(2);
+  EnginePlan tree;
+  tree.kind = EnginePlan::Kind::kTree;
+  tree.tree = TreePlan::LeftDeep(OrderPlan::Identity(2));
+  for (const EnginePlan* plan : {&nfa, &tree}) {
+    for (int k : {1, 63, 64, 70}) {
+      SCOPED_TRACE(std::string(plan == &nfa ? "nfa" : "tree") +
+                   " k=" + std::to_string(k));
+      // Behind the window: every match ended by 0.57 < 10 - 1.
+      LateRetractionRun late = RunRetractionOfFirstEvent(*plan, k, 10.0);
+      EXPECT_EQ(late.emitted, static_cast<uint64_t>(k));
+      EXPECT_EQ(late.revoked, 0u);
+      // Inside the window every match containing A@0 is revoked.
+      LateRetractionRun live = RunRetractionOfFirstEvent(*plan, k, 1.5);
+      EXPECT_EQ(live.emitted, static_cast<uint64_t>(k));
+      EXPECT_EQ(live.revoked, static_cast<uint64_t>(k));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cepjoin

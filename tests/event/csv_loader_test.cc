@@ -222,9 +222,9 @@ TEST(CsvLoaderTest, RejectsBadPolarityValues) {
 }
 
 TEST(CsvLoaderTest, RejectsRetractionOfNeverInsertedKey) {
-  // The source layer rejects a retraction whose (type, partition, ts)
-  // key was never inserted — before it can reach (and abort in) the
-  // serial-assigning stream.
+  // The loader rejects a retraction whose (type, partition, ts) key was
+  // never inserted with a line-numbered Status (EventStream::TryAppend)
+  // instead of aborting in EventStream::Append.
   EventTypeRegistry registry;
   CsvLoadResult result = LoadCsvStreamFromString(
       "type,ts,partition,v,polarity,retract_ts\n"
